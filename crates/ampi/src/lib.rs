@@ -29,13 +29,11 @@
 
 #![warn(missing_docs)]
 
-pub mod ft;
 pub mod nonblocking;
 pub mod proto;
 pub(crate) mod recover;
 pub mod world;
 
-pub use ft::{run_world_ft, FtReport};
 pub use nonblocking::{Request, RESERVED_TAG_BASE};
 pub use world::{lb_batch_messages, pe_of_rank, run_world, AmpiOptions};
 
@@ -272,16 +270,20 @@ impl Ampi {
     }
 
     /// Coordinated checkpoint (`AMPI_Checkpoint`): a collective at which
-    /// every rank is packed exactly as a migration would pack it, with the
-    /// images held in a process-global generation store. Under
-    /// [`run_world_ft`] a PE crash rolls the world back to the last
-    /// *committed* generation (all ranks present) and restarts on the
-    /// surviving PEs.
+    /// every rank is packed exactly as a migration would pack it (§4.5),
+    /// with the framed images deposited on an in-memory shelf and
+    /// replicated to buddy PEs. When a fault plan's scripted crash kills a
+    /// PE, the survivors roll the world back to the last *committed*
+    /// generation (all ranks present) and respawn the dead PE's ranks
+    /// among themselves — the run continues on fewer live PEs.
     ///
     /// Call this only at a matched communication boundary — a point where
     /// every message sent has been received (an iteration boundary after
     /// all ghost exchanges, for example). Messages still in flight are not
-    /// part of any rank's image and would be lost by a rollback.
+    /// part of any rank's image and would be lost by a rollback. State
+    /// outside rank threads (globals, host-side accumulators) is *not*
+    /// rolled back; keep external side effects idempotent under
+    /// re-execution.
     pub fn checkpoint(&mut self) {
         self.ckpt_seq += 1;
         let seq = self.ckpt_seq;

@@ -1,8 +1,9 @@
 //! Online recovery: in-memory buddy checkpoints and in-place healing.
 //!
-//! Instead of tearing the world down after a crash (the offline
-//! checkpoint-restart loop in `ft.rs`), online mode keeps the surviving
-//! PEs' schedulers alive and heals around the failure:
+//! The world is never torn down after a crash: the surviving PEs'
+//! schedulers stay alive and heal around the failure. Restarting on fewer
+//! processors (§4.5) is the special case where the dead PE's ranks are
+//! respawned on the survivors:
 //!
 //! * **Buddy replication.** Every checkpoint generation a PE deposits its
 //!   local rank images on an in-memory *shelf* and ships them — framed
@@ -123,17 +124,20 @@ fn rep_handler() -> HandlerId {
 
 /// This PE's `k` buddies: the next `k` ring successors not in `dead_mask`.
 pub(crate) fn buddies_of(me: usize, n: usize, k: usize, dead_mask: u64) -> Vec<usize> {
-    let mut out = Vec::new();
-    for i in 1..n {
-        let c = (me + i) % n;
-        if dead_mask & (1 << c) == 0 {
-            out.push(c);
-            if out.len() == k {
-                break;
-            }
-        }
-    }
-    out
+    (1..n)
+        .map(|i| (me + i) % n)
+        .filter(|&c| dead_mask & (1 << c) == 0)
+        .take(k)
+        .collect()
+}
+
+/// Buddy-replication degree: the plan's `k` when a PE can die (the plan
+/// scripts a crash or a stall), else 0 — images then stay on the owner's
+/// shelf, since nothing will ever need a remote copy.
+fn replication(pe: &Pe) -> usize {
+    pe.fault_plan()
+        .filter(|p| p.arms_detector())
+        .map_or(0, |p| p.replication)
 }
 
 /// Pick the rollback generation and respawn assignment from the
@@ -197,7 +201,7 @@ pub(crate) fn best_gen(
 // ---------------------------------------------------------------------
 
 /// Deposit one local rank's framed image for generation `gen` (called
-/// from the checkpoint snapshot path in online mode).
+/// from the checkpoint snapshot path).
 pub(crate) fn deposit_checkpoint(pe: &Pe, rank: u64, gen: u64, move_bytes: Vec<u8>, load_ns: u64) {
     let frame = frame_payload(&move_bytes);
     pe.ext::<RecoverState, _>(|rs| {
@@ -208,8 +212,7 @@ pub(crate) fn deposit_checkpoint(pe: &Pe, rank: u64, gen: u64, move_bytes: Vec<u
 /// All local ranks have deposited generation `gen`: ship the images to
 /// this PE's buddies; once every buddy acks, vote for the commit.
 pub(crate) fn finalize_generation(pe: &Pe, meta: &Arc<WorldMeta>, gen: u64) {
-    let k = pe.fault_plan().map(|p| p.replication).unwrap_or(1);
-    let buddies = buddies_of(pe.id(), pe.num_pes(), k, pe.confirmed_dead_mask());
+    let buddies = buddies_of(pe.id(), pe.num_pes(), replication(pe), pe.confirmed_dead_mask());
     let (epoch, own): (u64, Vec<(u64, u64, Vec<u8>)>) = pe.ext::<RecoverState, _>(|rs| {
         let mut own: Vec<(u64, u64, Vec<u8>)> = rs
             .shelf
@@ -617,8 +620,12 @@ fn apply_plan(pe: &Pe, leader: usize, epoch: u64, genp1: u64, dead_mask: u64, as
     if !mine.is_empty() {
         pe.note_recovery(RecoveryPhase::Respawn, lowest_dead, g);
     }
-    let k = pe.fault_plan().map(|p| p.replication).unwrap_or(1);
-    let buddies = buddies_of(pe.id(), pe.num_pes(), k, pe.confirmed_dead_mask() | dead_mask);
+    let buddies = buddies_of(
+        pe.id(),
+        pe.num_pes(),
+        replication(pe),
+        pe.confirmed_dead_mask() | dead_mask,
+    );
     if adopted.is_empty() || buddies.is_empty() {
         plan_done(pe, epoch, leader);
         return;
@@ -789,6 +796,8 @@ mod tests {
         assert_eq!(buddies_of(2, 4, 1, 1 << 3), vec![0]);
         // Everyone else dead: no buddies.
         assert_eq!(buddies_of(1, 4, 2, 0b1101), vec![]);
+        // Degree 0: no buddies at all.
+        assert_eq!(buddies_of(1, 4, 0, 0), vec![]);
     }
 
     #[test]

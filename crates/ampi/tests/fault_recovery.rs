@@ -1,9 +1,9 @@
-//! Fault-tolerant AMPI: coordinated checkpointing, PE-crash recovery by
-//! checkpoint restart on fewer PEs, and determinism of the whole story
-//! under the seeded fault plan.
+//! Fault-tolerant AMPI: coordinated checkpointing, PE-crash recovery that
+//! continues on fewer live PEs, and determinism of the whole story under
+//! the seeded fault plan.
 
-use flows_ampi::{run_world, run_world_ft, AmpiOptions, FtReport};
-use flows_converse::{FaultPlan, NetModel};
+use flows_ampi::{run_world, AmpiOptions};
+use flows_converse::{FaultPlan, MachineReport, NetModel};
 use flows_lb::GreedyLb;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -57,25 +57,37 @@ const RANKS: usize = 8;
 const PES: usize = 4;
 const ITERS: usize = 10;
 
-fn fault_free_results() -> HashMap<usize, (u64, usize)> {
+fn fault_free_run() -> (MachineReport, HashMap<usize, (u64, usize)>) {
     let results: Results = Arc::new(Mutex::new(HashMap::new()));
-    run_world(opts(RANKS, PES), ring_workload(ITERS, results.clone()));
+    let report = run_world(opts(RANKS, PES), ring_workload(ITERS, results.clone()));
     // Clone out rather than try_unwrap: threads killed by a crash are
     // reclaimed without unwinding, so their Arc clones never drop.
     let map = results.lock().unwrap().clone();
-    map
+    (report, map)
 }
 
-fn faulty_run(plan: FaultPlan) -> (FtReport, HashMap<usize, (u64, usize)>) {
+fn fault_free_results() -> HashMap<usize, (u64, usize)> {
+    fault_free_run().1
+}
+
+fn faulty_run(plan: FaultPlan) -> (MachineReport, HashMap<usize, (u64, usize)>) {
     let results: Results = Arc::new(Mutex::new(HashMap::new()));
-    let ft = run_world_ft(opts(RANKS, PES), plan, ring_workload(ITERS, results.clone()));
+    let report = run_world(
+        opts(RANKS, PES).with_faults(plan),
+        ring_workload(ITERS, results.clone()),
+    );
     let map = results.lock().unwrap().clone();
-    (ft, map)
+    (report, map)
+}
+
+/// PEs still alive at the end of a run.
+fn live_pes(report: &MachineReport) -> usize {
+    PES - report.dead_pes.len()
 }
 
 #[test]
 fn crash_recovers_from_checkpoint_and_rebalances() {
-    let clean = fault_free_results();
+    let (clean_report, clean) = fault_free_run();
     assert_eq!(clean.len(), RANKS);
 
     // Lossy links plus a PE death mid-run.
@@ -83,19 +95,22 @@ fn crash_recovers_from_checkpoint_and_rebalances() {
         .drop_prob(0.02)
         .dup_prob(0.02)
         .crash_pe(2, 400_000);
-    let (ft, got) = faulty_run(plan);
+    let (report, got) = faulty_run(plan);
 
-    assert_eq!(ft.restarts, 1, "one crash, one restart");
-    assert_eq!(ft.crashed_pes, vec![2]);
-    assert_eq!(ft.pes_used, PES - 1, "the machine degraded to fewer PEs");
-    assert!(ft.faults.dropped > 0, "the plan actually dropped packets");
+    assert_eq!(report.dead_pes, vec![2]);
+    assert!(report.recoveries() >= 1, "the crash was healed");
+    assert_eq!(live_pes(&report), PES - 1, "the run finished on fewer PEs");
+    let faults = report.faults.unwrap();
+    assert!(faults.dropped > 0, "the plan actually dropped packets");
     assert!(
-        ft.faults.retransmits >= ft.faults.dropped,
+        faults.retransmits >= faults.dropped,
         "every drop was repaired"
     );
     assert!(
-        ft.total_messages > ft.report.messages,
-        "the crash threw away work that total_messages still counts"
+        report.messages > clean_report.messages,
+        "the rollback re-executed work the fault-free run did once: {} vs {}",
+        report.messages,
+        clean_report.messages
     );
 
     // Results identical to the fault-free run, for every rank.
@@ -105,16 +120,20 @@ fn crash_recovers_from_checkpoint_and_rebalances() {
             "rank {r} checksum differs after recovery"
         );
     }
-    // Every rank finished on a surviving PE, and all survivors host work
-    // (8 ranks over 3 PEs cannot leave one empty under a block map).
+    // Every rank finished on a surviving PE, and all survivors host work.
     let mut pes_seen = [0usize; PES];
     for r in 0..RANKS {
         let pe = got[&r].1;
-        assert!(pe < PES - 1, "rank {r} finished on dead-range PE {pe}");
+        assert!(
+            !report.dead_pes.contains(&pe),
+            "rank {r} finished on dead PE {pe}"
+        );
         pes_seen[pe] += 1;
     }
     assert!(
-        pes_seen[..PES - 1].iter().all(|&c| c > 0),
+        (0..PES)
+            .filter(|pe| !report.dead_pes.contains(pe))
+            .all(|pe| pes_seen[pe] > 0),
         "restored ranks spread over all survivors: {pes_seen:?}"
     );
 }
@@ -127,15 +146,16 @@ fn recovery_is_deterministic() {
             .dup_prob(0.02)
             .crash_pe(2, 400_000)
     };
-    let (ft1, got1) = faulty_run(plan());
-    let (ft2, got2) = faulty_run(plan());
+    let (r1, got1) = faulty_run(plan());
+    let (r2, got2) = faulty_run(plan());
     assert_eq!(got1, got2, "rank results must replay exactly");
-    assert_eq!(ft1.restarts, ft2.restarts);
-    assert_eq!(ft1.crashed_pes, ft2.crashed_pes);
-    assert_eq!(ft1.total_messages, ft2.total_messages);
-    assert_eq!(ft1.report.pe_vtimes, ft2.report.pe_vtimes);
-    assert_eq!(ft1.faults.dropped, ft2.faults.dropped);
-    assert_eq!(ft1.faults.retransmits, ft2.faults.retransmits);
+    assert_eq!(r1.recoveries(), r2.recoveries());
+    assert_eq!(r1.dead_pes, r2.dead_pes);
+    assert_eq!(r1.messages, r2.messages);
+    assert_eq!(r1.pe_vtimes, r2.pe_vtimes);
+    let (f1, f2) = (r1.faults.unwrap(), r2.faults.unwrap());
+    assert_eq!(f1.dropped, f2.dropped);
+    assert_eq!(f1.retransmits, f2.retransmits);
 }
 
 #[test]
@@ -143,9 +163,10 @@ fn crash_before_any_checkpoint_restarts_from_scratch() {
     let clean = fault_free_results();
     // PE 1 dies almost immediately — before the first generation commits.
     let plan = FaultPlan::new(7).crash_pe(1, 1_000);
-    let (ft, got) = faulty_run(plan);
-    assert_eq!(ft.restarts, 1);
-    assert_eq!(ft.pes_used, PES - 1);
+    let (report, got) = faulty_run(plan);
+    assert_eq!(report.dead_pes, vec![1]);
+    assert!(report.recoveries() >= 1);
+    assert_eq!(live_pes(&report), PES - 1);
     for r in 0..RANKS {
         assert_eq!(got[&r].0, clean[&r].0, "rank {r} checksum differs");
     }
@@ -157,9 +178,10 @@ fn two_crashes_degrade_twice() {
     let plan = FaultPlan::new(99)
         .crash_pe(3, 300_000)
         .crash_pe(1, 700_000);
-    let (ft, got) = faulty_run(plan);
-    assert_eq!(ft.restarts, 2, "two scripted crashes, two restarts");
-    assert_eq!(ft.pes_used, PES - 2);
+    let (report, got) = faulty_run(plan);
+    assert_eq!(report.dead_pes, vec![1, 3], "both scripted victims died");
+    assert!(report.recoveries() >= 1);
+    assert_eq!(live_pes(&report), PES - 2);
     for r in 0..RANKS {
         assert_eq!(got[&r].0, clean[&r].0, "rank {r} checksum differs");
     }
@@ -167,8 +189,8 @@ fn two_crashes_degrade_twice() {
 
 #[test]
 fn checkpoint_without_faults_is_transparent() {
-    // checkpoint() under plain run_world: snapshots are taken and thrown
-    // away; results match a run that never checkpoints.
+    // checkpoint() without a fault plan: snapshots are taken and never
+    // read back; results match a run that never checkpoints.
     let with_ckpt = fault_free_results();
     let results: Results = Arc::new(Mutex::new(HashMap::new()));
     run_world(opts(RANKS, PES), {

@@ -16,7 +16,7 @@
 //! is off, each process writing its own copy), and no heap allocation is
 //! held across a checkpoint.
 
-use flows_ampi::{run_world, run_world_ft, AmpiOptions};
+use flows_ampi::{run_world, AmpiOptions};
 use flows_converse::{FaultPlan, NetModel};
 use flows_lb::GreedyLb;
 use std::collections::HashMap;
@@ -71,9 +71,12 @@ fn mp_recovery_body(world: Arc<flows_net::World>) {
     // Whole-process failure unit: replication must be at least
     // pes_per_proc, or a rank's only buddy image could die with it.
     let plan = FaultPlan::new(0x0F88)
-        .online_recovery(2)
+        .replication(2)
         .crash_process(VICTIM, world.pes_per_proc(), 2_000_000);
-    let ft = run_world_ft(opts(RANKS, PES).multiproc(world.clone()), plan, ring_main);
+    let report = run_world(
+        opts(RANKS, PES).multiproc(world.clone()).with_faults(plan),
+        ring_main,
+    );
     if world.rank() == VICTIM {
         // This process was scripted to die mid-run; its machine-level
         // failure is the survivors' to heal. Returning cleanly (exit 0)
@@ -86,10 +89,11 @@ fn mp_recovery_body(world: Arc<flows_net::World>) {
         .iter()
         .map(|&(r, total, pe)| (r, (total, pe)))
         .collect();
-    assert_eq!(ft.restarts, 0, "online recovery must not restart the world");
-    assert!(ft.recoveries >= 1, "at least one recovery round completed");
-    assert!(ft.report.crashed.is_none(), "survivors healed, not aborted");
-    let mut dead = ft.crashed_pes.clone();
+    assert!(
+        report.recoveries() >= 1,
+        "at least one recovery round completed"
+    );
+    let mut dead = report.dead_pes.clone();
     dead.sort_unstable();
     assert_eq!(dead, vec![2, 3], "exactly the child's PEs died");
 

@@ -2,8 +2,8 @@
 //! failure detection, and in-place rollback/respawn — the machine heals a
 //! PE death WITHOUT tearing the world down and restarting.
 
-use flows_ampi::{run_world, run_world_ft, AmpiOptions, FtReport};
-use flows_converse::{FaultPlan, NetModel, RecoveryPhase};
+use flows_ampi::{run_world, AmpiOptions};
+use flows_converse::{FaultPlan, MachineReport, NetModel, RecoveryPhase};
 use flows_lb::GreedyLb;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -62,15 +62,18 @@ fn fault_free_results() -> HashMap<usize, (u64, usize)> {
     map
 }
 
-fn online_run(plan: FaultPlan) -> (FtReport, HashMap<usize, (u64, usize)>) {
+fn online_run(plan: FaultPlan) -> (MachineReport, HashMap<usize, (u64, usize)>) {
     let results: Results = Arc::new(Mutex::new(HashMap::new()));
-    let ft = run_world_ft(opts(RANKS, PES), plan, ring_workload(ITERS, results.clone()));
+    let report = run_world(
+        opts(RANKS, PES).with_faults(plan),
+        ring_workload(ITERS, results.clone()),
+    );
     let map = results.lock().unwrap().clone();
-    (ft, map)
+    (report, map)
 }
 
-fn phases_of(ft: &FtReport) -> Vec<RecoveryPhase> {
-    ft.report.recovery.iter().map(|e| e.phase).collect()
+fn phases_of(report: &MachineReport) -> Vec<RecoveryPhase> {
+    report.recovery.iter().map(|e| e.phase).collect()
 }
 
 #[test]
@@ -82,18 +85,14 @@ fn single_crash_heals_in_place() {
     // checkpoint round trip is ~1M ns of modeled time), so the rollback
     // exercises the buddy shelf rather than a from-scratch restart.
     let plan = FaultPlan::new(0x0F11)
-        .online_recovery(1)
+        .replication(1)
         .crash_pe(2, 2_000_000);
     let (ft, got) = online_run(plan);
 
-    // The machine was never torn down: zero restarts, a single attempt's
-    // report, and the full PE count (the dead PE's scheduler simply went
-    // quiet — survivors kept theirs).
-    assert_eq!(ft.restarts, 0, "online recovery must not restart the world");
-    assert_eq!(ft.recoveries, 1, "one crash, one recovery round");
-    assert_eq!(ft.crashed_pes, vec![2]);
-    assert_eq!(ft.pes_used, PES);
-    assert_eq!(ft.report.dead_pes, vec![2]);
+    // The machine was never torn down: the dead PE's scheduler simply went
+    // quiet — survivors kept theirs.
+    assert_eq!(ft.recoveries(), 1, "one crash, one recovery round");
+    assert_eq!(ft.dead_pes, vec![2]);
 
     // Bit-identical results vs the fault-free run, for every rank.
     for r in 0..RANKS {
@@ -120,13 +119,12 @@ fn single_crash_heals_in_place() {
     // Every decisive phase concerns the scripted victim. (Survivors may be
     // transiently *suspected* while they are busy replaying — the detector
     // must clear those without ever confirming them.)
-    for e in &ft.report.recovery {
+    for e in &ft.recovery {
         if !matches!(e.phase, RecoveryPhase::Suspect | RecoveryPhase::Clear) {
             assert_eq!(e.dead, 2, "{:?} names PE {}, not the victim", e.phase, e.dead);
         }
     }
     let confirmed: Vec<usize> = ft
-        .report
         .recovery
         .iter()
         .filter(|e| e.phase == RecoveryPhase::Confirm)
@@ -134,11 +132,10 @@ fn single_crash_heals_in_place() {
         .collect();
     assert_eq!(confirmed, vec![2], "only the victim is ever confirmed dead");
     // Any suspicion of a live PE was withdrawn by a matching Clear.
-    for e in ft.report.recovery.iter().filter(|e| e.phase == RecoveryPhase::Suspect) {
+    for e in ft.recovery.iter().filter(|e| e.phase == RecoveryPhase::Suspect) {
         if e.dead != 2 {
             assert!(
-                ft.report
-                    .recovery
+                ft.recovery
                     .iter()
                     .any(|c| c.phase == RecoveryPhase::Clear && c.pe == e.pe && c.dead == e.dead),
                 "suspicion of live PE {} on PE {} was never cleared",
@@ -149,7 +146,6 @@ fn single_crash_heals_in_place() {
     }
     // Rollbacks on every survivor.
     let rollback_pes: Vec<usize> = ft
-        .report
         .recovery
         .iter()
         .filter(|e| e.phase == RecoveryPhase::Rollback)
@@ -158,14 +154,12 @@ fn single_crash_heals_in_place() {
     assert_eq!(rollback_pes.len(), PES - 1, "all survivors rolled back");
     // MTTR is well-defined: resume strictly after the first suspicion.
     let suspect_vt = ft
-        .report
         .recovery
         .iter()
         .find(|e| e.phase == RecoveryPhase::Suspect)
         .unwrap()
         .vt;
     let resume_vt = ft
-        .report
         .recovery
         .iter()
         .rev()
@@ -182,15 +176,13 @@ fn two_sequential_crashes_heal_with_degree_two_replication() {
     // (~8.5M), mid-replay: two full, non-overlapping recovery rounds, the
     // second served by images re-replicated during the first.
     let plan = FaultPlan::new(0x0F22)
-        .online_recovery(2)
+        .replication(2)
         .crash_pe(3, 2_000_000)
         .crash_pe(1, 10_000_000);
     let (ft, got) = online_run(plan);
 
-    assert_eq!(ft.restarts, 0);
-    assert_eq!(ft.recoveries, 2, "two crashes, two recovery rounds");
-    assert_eq!(ft.pes_used, PES);
-    let mut dead = ft.crashed_pes.clone();
+    assert_eq!(ft.recoveries(), 2, "two crashes, two recovery rounds");
+    let mut dead = ft.dead_pes.clone();
     dead.sort_unstable();
     assert_eq!(dead, vec![1, 3]);
 
@@ -213,18 +205,16 @@ fn crash_during_recovery_is_superseded_and_healed() {
     // Calibrate: run the single-crash scenario once and read the recovery
     // window off the timeline, then script a second death inside it.
     let probe = FaultPlan::new(0x0F33)
-        .online_recovery(2)
+        .replication(2)
         .crash_pe(2, 2_000_000);
     let (ft0, _) = online_run(probe);
     let suspect_vt = ft0
-        .report
         .recovery
         .iter()
         .find(|e| e.phase == RecoveryPhase::Suspect)
         .unwrap()
         .vt;
     let resume_vt = ft0
-        .report
         .recovery
         .iter()
         .find(|e| e.phase == RecoveryPhase::Resume)
@@ -234,17 +224,16 @@ fn crash_during_recovery_is_superseded_and_healed() {
     let mid = suspect_vt + (resume_vt - suspect_vt) / 2;
 
     let plan = FaultPlan::new(0x0F33)
-        .online_recovery(2)
+        .replication(2)
         .crash_pe(2, 2_000_000)
         .crash_pe(0, mid);
     let (ft, got) = online_run(plan);
 
-    assert_eq!(ft.restarts, 0);
-    let mut dead = ft.crashed_pes.clone();
+    let mut dead = ft.dead_pes.clone();
     dead.sort_unstable();
     assert_eq!(dead, vec![0, 2]);
     assert!(
-        ft.recoveries >= 1,
+        ft.recoveries() >= 1,
         "at least one completed recovery round healed both deaths"
     );
     for r in 0..RANKS {
@@ -265,14 +254,13 @@ fn stall_is_suspected_then_cleared_without_rollback() {
     // A long-but-finite stall: phi crosses the suspect threshold, then the
     // heartbeats resume before confirmation — a slow PE, not a dead one.
     let plan = FaultPlan::new(0x0F44)
-        .online_recovery(1)
+        .replication(1)
         .phi_thresholds(2.0, 1e9)
         .stall_pe(1, 300_000, 4_000);
     let (ft, got) = online_run(plan);
 
-    assert_eq!(ft.restarts, 0);
-    assert_eq!(ft.recoveries, 0, "a stall must not trigger recovery");
-    assert!(ft.crashed_pes.is_empty());
+    assert_eq!(ft.recoveries(), 0, "a stall must not trigger recovery");
+    assert!(ft.dead_pes.is_empty());
     let phases = phases_of(&ft);
     assert!(
         phases.contains(&RecoveryPhase::Suspect),
@@ -295,7 +283,7 @@ fn stall_is_suspected_then_cleared_without_rollback() {
 fn online_recovery_is_deterministic() {
     let plan = || {
         FaultPlan::new(0x0F55)
-            .online_recovery(2)
+            .replication(2)
             .drop_prob(0.02)
             .crash_pe(3, 300_000)
             .crash_pe(1, 900_000)
@@ -303,26 +291,24 @@ fn online_recovery_is_deterministic() {
     let (ft1, got1) = online_run(plan());
     let (ft2, got2) = online_run(plan());
     assert_eq!(got1, got2, "rank results must replay exactly");
-    assert_eq!(ft1.recoveries, ft2.recoveries);
-    assert_eq!(ft1.crashed_pes, ft2.crashed_pes);
-    assert_eq!(ft1.report.pe_vtimes, ft2.report.pe_vtimes);
-    assert_eq!(ft1.report.recovery, ft2.report.recovery);
-    assert_eq!(ft1.total_messages, ft2.total_messages);
+    assert_eq!(ft1.recoveries(), ft2.recoveries());
+    assert_eq!(ft1.dead_pes, ft2.dead_pes);
+    assert_eq!(ft1.pe_vtimes, ft2.pe_vtimes);
+    assert_eq!(ft1.recovery, ft2.recovery);
+    assert_eq!(ft1.messages, ft2.messages);
 }
 
 #[test]
 fn recovery_phases_appear_in_chrome_trace() {
     let plan = FaultPlan::new(0x0F66)
-        .online_recovery(1)
+        .replication(1)
         .crash_pe(2, 2_000_000);
     let results: Results = Arc::new(Mutex::new(HashMap::new()));
-    let ft = run_world_ft(
-        opts(RANKS, PES).tracing(true),
-        plan,
+    let ft = run_world(
+        opts(RANKS, PES).tracing(true).with_faults(plan),
         ring_workload(ITERS, results.clone()),
     );
-    assert_eq!(ft.restarts, 0);
-    let json = flows_trace::chrome::chrome_trace_json(&ft.report.trace_rings);
+    let json = flows_trace::chrome::chrome_trace_json(&ft.trace_rings);
     // Recovery phases are first-class trace events...
     for name in ["ft_rollback", "ft_respawn", "ft_resume"] {
         assert!(json.contains(name), "missing {name} in chrome trace");

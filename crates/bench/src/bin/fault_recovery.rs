@@ -10,9 +10,11 @@
 //!    overhead ratio vs the fault-free run, and whether the checksum is
 //!    bit-identical to fault-free — it must always be.
 //! 2. The crash scenario: lossy links plus one scripted PE death mid-run,
-//!    checkpointing every iteration. The run restarts from the last
-//!    committed checkpoint generation on the surviving PEs and must still
-//!    reproduce the fault-free checksum.
+//!    checkpointing every iteration. The survivors roll back to the last
+//!    committed checkpoint generation, respawn the dead PE's ranks among
+//!    themselves, and must still reproduce the fault-free checksum. The
+//!    crash run uses modeled time, so its time column is the virtual
+//!    critical path.
 //!
 //! `--iters N` outer iterations (default 8); `--sweeps N` work per
 //! iteration; `--seed H` fault seed (hex).
@@ -90,27 +92,27 @@ fn main() {
     ok &= equal;
     let mut c = Table::new(&[
         "scenario",
-        "time s",
-        "restarts",
-        "PEs left",
-        "total msgs",
+        "critical path s",
+        "messages",
+        "recoveries",
+        "live PEs",
         "checksum equal",
     ]);
     c.row(vec![
         "drop 2% + dup 2% + crash PE1".into(),
-        format!("{:.4}", r.modeled_time_s),
-        r.restarts.to_string(),
-        r.pes_used.to_string(),
-        r.total_messages.to_string(),
+        format!("{:.4}", r.critical_path_s),
+        r.messages.to_string(),
+        r.recoveries.to_string(),
+        r.live_pes.to_string(),
         equal.to_string(),
     ]);
-    c.print("Crash recovery: checkpoint every iteration, restart on surviving PEs");
+    c.print("Crash recovery: checkpoint every iteration, heal in place on the surviving PEs");
 
     println!(
         "\nexpected shape: overhead grows with the fault rate (every drop \
          costs a timeout + retransmit) while the checksum column stays \
-         true throughout; the crash scenario completes on {} PEs with the \
-         fault-free answer.",
+         true throughout; the crash scenario heals in 1 recovery and \
+         completes on {} live PEs with the fault-free answer.",
         PES - 1
     );
     if !ok {

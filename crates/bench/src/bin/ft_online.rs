@@ -8,7 +8,7 @@
 //! runs once fault-free and once under the schedule with online recovery
 //! (in-memory buddy checkpoints, phi-accrual failure detection, in-place
 //! rollback/respawn). Every run must finish with bit-identical per-rank
-//! checksums on a machine that was never torn down (`restarts == 0`).
+//! checksums, no stranded threads, and only allowed casualties dead.
 //!
 //! Per seed the table and `BENCH_ft.json` record:
 //!
@@ -23,7 +23,7 @@
 //! `--json PATH` overrides the output path. Exits non-zero if any run
 //! diverges from the fault-free answer or fails to heal.
 
-use flows_ampi::{run_world, run_world_ft, AmpiOptions};
+use flows_ampi::{run_world, AmpiOptions};
 use flows_bench::{arg_flag, arg_val, Table};
 use flows_converse::{FaultPlan, NetModel, RecoveryPhase};
 use flows_lb::GreedyLb;
@@ -85,7 +85,7 @@ fn opts() -> AmpiOptions {
 /// the staller is an allowed casualty too.
 fn schedule(seed: u64) -> (FaultPlan, Vec<(usize, u64)>, Vec<usize>) {
     let mut s = seed;
-    let mut plan = FaultPlan::new(seed).online_recovery(2);
+    let mut plan = FaultPlan::new(seed).replication(2);
     let n_crashes = 1 + (mix(&mut s) % 2) as usize;
     let first_victim = (mix(&mut s) % PES as u64) as usize;
     let mut crashes = Vec::new();
@@ -149,19 +149,18 @@ fn main() {
         let seed = 0xC0FFEE ^ (i.wrapping_mul(0x9E3779B97F4A7C15));
         let (plan, crashes, allowed) = schedule(seed);
         let results: Results = Arc::new(Mutex::new(HashMap::new()));
-        let ft = run_world_ft(opts(), plan, workload(results.clone()));
+        let report = run_world(opts().with_faults(plan), workload(results.clone()));
         let got = results.lock().unwrap().clone();
 
         let equal = got.len() == RANKS && (0..RANKS).all(|r| got[&r] == clean[&r]);
-        let healed_ok = ft.restarts == 0
-            && ft.report.stranded_threads.iter().sum::<usize>() == 0
-            && ft.crashed_pes.iter().all(|pe| allowed.contains(pe));
+        let healed_ok = report.stranded_threads.iter().sum::<usize>() == 0
+            && report.dead_pes.iter().all(|pe| allowed.contains(pe));
         ok &= equal && healed_ok;
 
         // Detection latency / MTTR off the recovery timeline. A crash
         // scripted at vt X fires when the victim's clock crosses X, so
         // use the recorded Crash event as the anchor.
-        let ev = &ft.report.recovery;
+        let ev = &report.recovery;
         let mut detect_ns = Vec::new();
         let mut confirm_ns = Vec::new();
         let mut mttr_ns = Vec::new();
@@ -189,8 +188,8 @@ fn main() {
         rows.push(Row {
             seed,
             crashes,
-            healed: ft.crashed_pes.len(),
-            recoveries: ft.recoveries,
+            healed: report.dead_pes.len(),
+            recoveries: report.recoveries(),
             detect_ns,
             confirm_ns,
             mttr_ns,
@@ -233,7 +232,7 @@ fn main() {
     let all_detect: Vec<u64> = rows.iter().flat_map(|r| r.detect_ns.clone()).collect();
     let all_mttr: Vec<u64> = rows.iter().flat_map(|r| r.mttr_ns.clone()).collect();
     println!(
-        "\nexpected shape: every schedule heals in place (restarts = 0) with \
+        "\nexpected shape: every schedule heals in place with \
          the fault-free checksums; detection latency is set by the phi \
          threshold over a {:.1}ms heartbeat, and MTTR adds the rollback + \
          respawn + re-replication round.",

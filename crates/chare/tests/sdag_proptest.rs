@@ -3,13 +3,29 @@
 
 use flows_chare::{atomic, for_n, overlap, seq, when, Node, SdagRun};
 use proptest::prelude::*;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 #[derive(Default, Debug, Clone, PartialEq)]
 struct St {
     per_event: [u64; 4],
     works: u64,
+}
+
+/// One splitmix64 step: the shuffle's random stream.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Fisher–Yates shuffle; each draw maps a 64-bit output onto `0..=i` by
+/// multiply-shift.
+fn shuffle<T>(v: &mut [T], state: &mut u64) {
+    for i in (1..v.len()).rev() {
+        let j = ((splitmix64(state) as u128 * (i as u128 + 1)) >> 64) as usize;
+        v.swap(i, j);
+    }
 }
 
 fn figure1_prog(iters: u64, events: usize) -> Node<St> {
@@ -41,11 +57,11 @@ proptest! {
         // event. Shuffle *within* each iteration (SDAG requires iteration
         // k's messages before k+1's only in the sense that `when`s consume
         // FIFO per event — same-event messages keep their order).
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = seed;
         let mut run = SdagRun::new(&figure1_prog(iters, events), St::default());
         for it in 0..iters {
             let mut batch: Vec<u32> = (0..events as u32).collect();
-            batch.shuffle(&mut rng);
+            shuffle(&mut batch, &mut rng);
             for e in batch {
                 run.deliver(e, vec![(it + 1) as u8]);
             }

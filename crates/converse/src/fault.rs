@@ -17,9 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Crash PE `pe` once its virtual clock reaches `at_vtime_ns`. The PE
-/// stops executing (messages to it are never delivered) and the run aborts
-/// with [`crate::MachineReport::crashed`] set — recovery is the job of a
-/// layer above (see `flows-ampi`'s checkpoint/restart driver).
+/// stops executing; the survivors' failure detector confirms the death,
+/// writes off the traffic that died with it, and hands the healing to the
+/// death-confirmed upcall of the layer above (see `flows-ampi`'s online
+/// recovery). The run never aborts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeCrash {
     /// The PE that fails.
@@ -63,14 +64,8 @@ pub struct FaultPlan {
     pub crashes: Vec<PeCrash>,
     /// Scripted PE stalls.
     pub stalls: Vec<PeStall>,
-    /// Online recovery mode: a scripted crash no longer aborts the run.
-    /// Survivors detect the failure with the phi-accrual detector, write
-    /// off undeliverable traffic, and invoke the registered
-    /// death-confirmed upcall (the AMPI layer's rollback/respawn
-    /// protocol). Only supported under deterministic drive.
-    pub online: bool,
     /// Virtual-time heartbeat period for the failure detector (active only
-    /// when `online`).
+    /// when the plan scripts a crash or a stall).
     pub heartbeat_ns: u64,
     /// Phi threshold at which a silent peer becomes *suspected*.
     pub phi_suspect: f64,
@@ -96,25 +91,25 @@ impl FaultPlan {
             reorder_prob: 0.0,
             crashes: Vec::new(),
             stalls: Vec::new(),
-            online: false,
-            heartbeat_ns: 0,
+            heartbeat_ns: 100_000,
             phi_suspect: 4.0,
             phi_confirm: 8.0,
             replication: 1,
         }
     }
 
-    /// Enable online recovery with buddy-replication degree `k`: crashes
-    /// are detected and healed in place instead of aborting the run. Also
-    /// arms the heartbeat clock with a default period if none was set.
-    pub fn online_recovery(mut self, k: usize) -> Self {
+    /// Set the buddy-replication degree `k` of checkpoint images.
+    pub fn replication(mut self, k: usize) -> Self {
         assert!(k >= 1, "replication degree must be at least 1");
-        self.online = true;
         self.replication = k;
-        if self.heartbeat_ns == 0 {
-            self.heartbeat_ns = 100_000;
-        }
         self
+    }
+
+    /// Does the plan script a PE fault (crash or stall)? Such a plan arms
+    /// the heartbeats and the phi-accrual failure detector — a PE may die
+    /// — while a transport-only plan leaves them off.
+    pub fn arms_detector(&self) -> bool {
+        !self.crashes.is_empty() || !self.stalls.is_empty()
     }
 
     /// Set the failure-detector heartbeat period (virtual ns).
@@ -169,7 +164,7 @@ impl FaultPlan {
     /// the same virtual time, and the surviving processes detect, write
     /// off, and heal the loss. Whole-process failure units need buddy
     /// images to land off-process: pair this with
-    /// [`FaultPlan::online_recovery`]`(k)` where `k >= pes_per_proc`.
+    /// [`FaultPlan::replication`]`(k)` where `k >= pes_per_proc`.
     pub fn crash_process(mut self, proc: usize, pes_per_proc: usize, at_vtime_ns: u64) -> Self {
         for pe in proc * pes_per_proc..(proc + 1) * pes_per_proc {
             self.crashes.push(PeCrash { pe, at_vtime_ns });
@@ -259,8 +254,8 @@ pub struct FaultStats {
     pub(crate) retransmits_capped: AtomicU64,
     pub(crate) heartbeats: AtomicU64,
     /// Logical messages written off as undeliverable because their sender
-    /// or receiver is confirmed dead (online mode). The quiescence fixpoint
-    /// becomes `sent == recv + written_off`.
+    /// or receiver is confirmed dead. The quiescence fixpoint becomes
+    /// `sent == recv + written_off`.
     pub(crate) written_off: AtomicU64,
 }
 

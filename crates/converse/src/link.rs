@@ -32,13 +32,13 @@ pub(crate) enum PacketBody {
     Data { seq: u64, msg: Message },
     /// Cumulative acknowledgement: every seq `<= cum` has been received.
     Ack { cum: u64 },
-    /// Failure-detector heartbeat (online mode only). Unsequenced and
-    /// unacked: a lost heartbeat *is* the signal. Never counted in the
-    /// logical sent/recv totals. The round counter is carried for wire
-    /// debugging only; receivers timestamp arrival and ignore it. `vt` is
-    /// the sender's virtual clock at emission: threaded machines advance
-    /// their clocks independently (each PE idle-jumps along its own
-    /// schedule), so receivers Lamport-sync to it — without that, one
+    /// Failure-detector heartbeat (plans scripting PE faults only).
+    /// Unsequenced and unacked: a lost heartbeat *is* the signal. Never
+    /// counted in the logical sent/recv totals. The round counter is
+    /// carried for wire debugging only; receivers timestamp arrival and
+    /// ignore it. `vt` is the sender's virtual clock at emission: PEs
+    /// advance their clocks independently (each PE idle-jumps along its
+    /// own schedule), so receivers Lamport-sync to it — without that, one
     /// observer's clock can race ahead of a live peer's heartbeat
     /// production and convict it of a silence that never happened.
     Heartbeat {

@@ -1,7 +1,7 @@
 //! Building and driving the machine: handler registration, the two drive
 //! modes, and quiescence detection.
 
-use crate::fault::{FaultCtx, FaultPlan, FaultStats, FaultSummary, RecoveryEvent};
+use crate::fault::{FaultCtx, FaultPlan, FaultStats, FaultSummary, RecoveryEvent, RecoveryPhase};
 use crate::link::Packet;
 use crate::msg::{HandlerId, Message, NetModel};
 use crate::pe::{DeathUpcall, Handler, Pe};
@@ -37,15 +37,11 @@ pub(crate) struct Hub {
     pub recv: AtomicU64,
     idle: AtomicUsize,
     done: AtomicBool,
-    /// First PE to hit a scripted crash (`usize::MAX` = none). A crash
-    /// aborts the run: quiescence can never be reached once a PE stops
-    /// consuming its messages.
-    crashed: AtomicUsize,
     /// One waker per PE in threaded mode (unset under deterministic
     /// drive): posting a packet unparks its destination.
     wakers: OnceLock<Vec<Unparker>>,
-    /// PEs that physically stopped executing, as a bitmask (online mode;
-    /// machine size is capped at 64 there). Shared state is used only to
+    /// PEs that physically stopped executing, as a bitmask (plans that
+    /// script PE faults cap the machine at 64 PEs). Shared state is used only to
     /// keep idle virtual clocks advancing — the protocol's *decisions*
     /// (suspect, confirm) flow through heartbeats alone.
     dead: AtomicU64,
@@ -101,7 +97,6 @@ impl Default for Hub {
             recv: AtomicU64::new(0),
             idle: AtomicUsize::new(0),
             done: AtomicBool::new(false),
-            crashed: AtomicUsize::new(usize::MAX),
             wakers: OnceLock::new(),
             dead: AtomicU64::new(0),
             fenced: AtomicU64::new(0),
@@ -118,20 +113,11 @@ impl Default for Hub {
 }
 
 impl Hub {
-    /// Record a scripted crash and wake every drive loop so the run stops.
-    pub(crate) fn record_crash(&self, pe: usize) {
-        let _ = self
-            .crashed
-            .compare_exchange(usize::MAX, pe, Ordering::SeqCst, Ordering::SeqCst);
-        self.done.store(true, Ordering::SeqCst);
-        self.wake_all();
-    }
-
-    /// Record a crash in online mode: the run continues; survivors will
-    /// detect, confirm and heal. The morgue entry must be complete before
-    /// the dead bit is visible (it is — both sit behind SeqCst stores and
-    /// the deterministic driver serializes PEs anyway).
-    pub(crate) fn record_crash_online(&self, pe: usize, morgue: Morgue) {
+    /// Record a crash: the run continues; survivors will detect, confirm
+    /// and heal. The morgue entry must be complete before the dead bit is
+    /// visible (it is — both sit behind SeqCst stores and the
+    /// deterministic driver serializes PEs anyway).
+    pub(crate) fn record_death(&self, pe: usize, morgue: Morgue) {
         self.morgue.lock().unwrap().insert(pe, morgue);
         self.dead.fetch_or(1 << pe, Ordering::SeqCst);
     }
@@ -240,11 +226,6 @@ impl Hub {
         self.idle.load(Ordering::SeqCst)
     }
 
-    /// Has the run been declared over (quiescence or crash abort)?
-    pub(crate) fn done_flag(&self) -> bool {
-        self.done.load(Ordering::SeqCst)
-    }
-
     /// Declare the run over and wake every parked PE (the comm thread's
     /// entry into the shutdown the drive loops normally own).
     pub(crate) fn set_done_and_wake(&self) {
@@ -273,19 +254,12 @@ impl Hub {
         self.resolved.fetch_or(resolved, Ordering::SeqCst);
     }
 
-    /// Wake every parked PE (crash abort / quiescence declaration).
+    /// Wake every parked PE (quiescence declaration).
     fn wake_all(&self) {
         if let Some(ws) = self.wakers.get() {
             for w in ws {
                 w.unpark();
             }
-        }
-    }
-
-    fn crashed_pe(&self) -> Option<usize> {
-        match self.crashed.load(Ordering::SeqCst) {
-            usize::MAX => None,
-            pe => Some(pe),
         }
     }
 }
@@ -312,9 +286,6 @@ pub struct MachineReport {
     /// Busy virtual time per PE (work only, no arrival waits) — the load
     /// balance picture.
     pub pe_busy: Vec<u64>,
-    /// The PE that hit a scripted crash, if the run was aborted by one.
-    /// A crashed run's other counters cover work up to the abort.
-    pub crashed: Option<usize>,
     /// Fault-injection / recovery counters (present iff a
     /// [`FaultPlan`] was attached).
     pub faults: Option<FaultSummary>,
@@ -332,11 +303,10 @@ pub struct MachineReport {
     pub trace_rings: Vec<Arc<TraceRing>>,
     /// Online-recovery timeline: every suspect/confirm/rollback/respawn/
     /// resume phase observed during the run, in order. Empty unless the
-    /// fault plan enabled online recovery.
+    /// fault plan scripted a crash or a stall.
     pub recovery: Vec<RecoveryEvent>,
-    /// PEs that failed during the run. Under online recovery the run
-    /// still completes (`crashed` stays `None`); these are the healed
-    /// casualties.
+    /// PEs that failed during the run. The run still completes; these are
+    /// the casualties it healed around.
     pub dead_pes: Vec<usize>,
 }
 
@@ -344,6 +314,20 @@ impl MachineReport {
     /// The modeled parallel completion time: max over PEs of virtual time.
     pub fn parallel_time_ns(&self) -> u64 {
         self.pe_vtimes.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Recovery rounds completed in place: distinct epochs that reached
+    /// the Resume phase.
+    pub fn recoveries(&self) -> usize {
+        let mut epochs: Vec<u64> = self
+            .recovery
+            .iter()
+            .filter(|e| e.phase == RecoveryPhase::Resume)
+            .map(|e| e.info)
+            .collect();
+        epochs.sort_unstable();
+        epochs.dedup();
+        epochs.len()
     }
 }
 
@@ -443,9 +427,10 @@ impl MachineBuilder {
 
     /// Attach a deterministic fault plan. This switches every cross-PE
     /// link to the reliable (ack/retransmit) transport and arms the plan's
-    /// scripted PE faults.
+    /// scripted PE faults together with the failure detector that heals
+    /// around them.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        if plan.online {
+        if plan.arms_detector() {
             assert!(
                 self.num_pes <= 64,
                 "online recovery tracks PE liveness in a 64-bit mask"
@@ -593,7 +578,6 @@ impl MachineBuilder {
             self.world.is_none(),
             "a multi-process machine needs its comm thread: use run()"
         );
-        let online = self.fault.as_ref().is_some_and(|p| p.online);
         let (seeds, hub, stats, rings, _txs) = self.make_seeds();
         let pes: Vec<Pe> = seeds.into_iter().map(PeSeed::build).collect();
         let sc0 = flows_sys::counters::snapshot();
@@ -611,7 +595,7 @@ impl MachineBuilder {
         // the round-robin shrinks (and snaps back on the next delivery).
         const FULL_BURST: u32 = 64;
         let mut budgets = vec![FULL_BURST; pes.len()];
-        'drive: loop {
+        loop {
             let mut progress = false;
             for (pe, budget) in pes.iter().zip(budgets.iter_mut()) {
                 let prev = pe.enter();
@@ -632,19 +616,12 @@ impl MachineBuilder {
                 if pumped {
                     progress = true;
                 }
-                if !online && hub.crashed_pe().is_some() {
-                    // A dead PE stops consuming messages: quiescence is
-                    // unreachable, so abort and report the crash. Under
-                    // online recovery the run continues — survivors
-                    // detect, write the dead PE's traffic off, and heal.
-                    break 'drive;
-                }
             }
-            if online && pes.iter().all(|p| p.crashed()) {
+            if pes.iter().all(|p| p.crashed()) {
                 // Total loss: every PE is dead (scripted crashes plus any
                 // fenced stalls). Nobody is left to recover, so report the
                 // wreckage instead of waiting for a heal that cannot come.
-                break 'drive;
+                break;
             }
             if !progress {
                 // Batched quiescence accounting: fold every PE's local
@@ -682,18 +659,18 @@ impl MachineBuilder {
     /// on a per-PE [`Parker`] and are woken by incoming packets (instead
     /// of spinning on `yield_now`).
     pub fn run(mut self, init: impl Fn(&Pe) + Send + Sync) -> MachineReport {
-        let online = self.fault.as_ref().is_some_and(|p| p.online);
         let multiproc = self.world.is_some();
         assert!(
-            !online || multiproc,
-            "online recovery requires the deterministic drive mode \
-             (or a multi-process world, whose comm thread owns quiescence)"
+            multiproc || !self.fault.as_ref().is_some_and(|p| p.arms_detector()),
+            "a plan scripting PE crashes or stalls needs online recovery, which \
+             requires the deterministic drive mode (or a multi-process world, \
+             whose comm thread owns quiescence)"
         );
         if multiproc {
             assert!(!self.steal, "work stealing cannot cross process boundaries");
         }
         if let (Some(w), Some(plan)) = (&self.world, &self.fault) {
-            if plan.online && w.is_leader() {
+            if w.is_leader() {
                 let leader_pes = w.first_pe()..w.first_pe() + w.pes_per_proc();
                 assert!(
                     !leader_pes.clone().all(|p| plan.crash_for(p).is_some()),
@@ -724,7 +701,6 @@ impl MachineBuilder {
                 hub: hub.clone(),
                 txs,
                 stats: stats.clone(),
-                online,
                 num_pes,
             };
             std::thread::Builder::new()
@@ -753,7 +729,7 @@ impl MachineBuilder {
                             init(&pe);
                             drive_until_quiescent(&pe, &hub, local_pes, multiproc, &parker);
                             // Final flush so the report's totals are complete
-                            // on every exit path (quiescence or crash abort).
+                            // on every exit path.
                             pe.flush_counters();
                             pe.leave(prev);
                             (
@@ -788,7 +764,6 @@ impl MachineBuilder {
             pe_delivered: results.iter().map(|r| r.4).collect(),
             stranded_threads: results.iter().map(|r| r.2).collect(),
             pe_busy: results.iter().map(|r| r.3).collect(),
-            crashed: hub.crashed_pe(),
             faults: stats.map(|s| s.summary()),
             syscalls,
             trace,
@@ -878,7 +853,6 @@ fn report(
         pe_delivered: pes.iter().map(|p| p.delivered()).collect(),
         stranded_threads: pes.iter().map(|p| p.sched().thread_count()).collect(),
         pe_busy: pes.iter().map(|p| p.busy_ns()).collect(),
-        crashed: hub.crashed_pe(),
         faults: stats.map(|s| s.summary()),
         trace: finish_trace(&rings, &syscalls),
         syscalls,
@@ -906,8 +880,8 @@ const IDLE_SPINS_BEFORE_PARK: u32 = 128;
 fn drive_until_quiescent(pe: &Pe, hub: &Hub, num_pes: usize, multiproc: bool, parker: &Parker) {
     loop {
         if hub.done.load(Ordering::SeqCst) {
-            // Another PE crashed (or quiescence was declared while we were
-            // spinning on link recovery toward a dead PE): stop.
+            // Quiescence was declared (possibly while we were spinning on
+            // link recovery toward a dead PE), or this process died: stop.
             return;
         }
         let mut progress = false;
@@ -1294,7 +1268,7 @@ mod tests {
         assert!(f.dropped > 0, "plan injected drops: {f:?}");
         assert!(f.retransmits >= f.dropped, "every drop was repaired");
         assert!(f.acks > 0);
-        assert!(rep.crashed.is_none());
+        assert!(rep.dead_pes.is_empty());
     }
 
     #[test]
@@ -1317,7 +1291,7 @@ mod tests {
     }
 
     #[test]
-    fn scripted_crash_aborts_the_run() {
+    fn crash_without_upcall_is_detected_and_written_off() {
         let plan = FaultPlan::new(7).crash_pe(2, 0);
         let total = Arc::new(AtomicU64::new(0));
         let mut mb = MachineBuilder::new(4).fault_plan(plan);
@@ -1334,25 +1308,34 @@ mod tests {
                 }
             }
         });
-        assert_eq!(rep.crashed, Some(2));
-        // PE2 never ran its handler; the rest may or may not have before
-        // the abort, but never more than their own message.
-        assert!(total.load(Ordering::Relaxed) <= 3);
+        // The run completed: the survivors confirmed the death and wrote
+        // its traffic off with no layer above to heal it.
+        assert_eq!(rep.dead_pes, vec![2]);
+        assert!(rep
+            .recovery
+            .iter()
+            .any(|e| e.phase == RecoveryPhase::Confirm && e.dead == 2));
+        let f = rep.faults.unwrap();
+        assert!(f.written_off >= 1, "the message to PE 2 was written off: {f:?}");
+        // PE2 never ran its handler; each survivor ran its own message.
+        assert_eq!(total.load(Ordering::Relaxed), 3);
     }
 
     #[test]
-    fn scripted_crash_aborts_threaded_mode() {
+    #[should_panic(expected = "needs online recovery")]
+    fn crash_plan_on_threaded_machine_is_rejected() {
+        // Online recovery needs the deterministic drive or a multi-process
+        // world; a threaded single-process machine refuses the plan.
         let plan = FaultPlan::new(7).crash_pe(1, 0);
         let mut mb = MachineBuilder::new(3).fault_plan(plan);
         let h = mb.handler(|_pe, _msg| {});
-        let rep = mb.run(|pe| {
+        mb.run(|pe| {
             if pe.id() == 0 {
                 for d in 0..pe.num_pes() {
                     pe.send(d, h, vec![]);
                 }
             }
         });
-        assert_eq!(rep.crashed, Some(1));
     }
 
     #[test]
@@ -1362,17 +1345,16 @@ mod tests {
         assert_eq!(total, 41);
         let f = rep.faults.unwrap();
         assert!(f.stalled_steps >= 50, "stall consumed its steps: {f:?}");
-        assert!(rep.crashed.is_none());
+        assert!(rep.dead_pes.is_empty());
     }
 
-    /// One online-mode run: ring traffic, PE 2 crashes mid-flight, the
+    /// One crash run: ring traffic, PE 2 crashes mid-flight, the
     /// phi-accrual detector suspects and confirms it, the leader's death
     /// upcall drives a reap/ack mini-protocol across the survivors, and
     /// the machine quiesces WITHOUT tearing the world down. Returns the
     /// logical-delivery total and the report.
     fn online_crash_run(seed: u64) -> (u64, MachineReport) {
-        use crate::fault::RecoveryPhase;
-        let plan = FaultPlan::new(seed).crash_pe(2, 150_000).online_recovery(1);
+        let plan = FaultPlan::new(seed).crash_pe(2, 150_000);
         let total = Arc::new(AtomicU64::new(0));
         let mut mb = MachineBuilder::new(4).fault_plan(plan).modeled_time(true);
         let work = {
@@ -1432,12 +1414,9 @@ mod tests {
 
     #[test]
     fn online_crash_is_detected_confirmed_and_healed() {
-        use crate::fault::RecoveryPhase;
         let (total, rep) = online_crash_run(21);
         // The run completed (this test returning at all is the headline:
-        // quiescence was re-established around the corpse) and was never
-        // aborted the legacy way.
-        assert!(rep.crashed.is_none(), "online mode must not abort");
+        // quiescence was re-established around the corpse).
         assert_eq!(rep.dead_pes, vec![2]);
         assert!(
             total < 201,
@@ -1485,18 +1464,15 @@ mod tests {
 
     #[test]
     fn online_stall_is_suspected_then_cleared_not_killed() {
-        use crate::fault::RecoveryPhase;
         // PE 1 goes silent for 600 pump iterations but is NOT dead. With a
         // sky-high confirm threshold the detector may suspect it, must
         // clear the suspicion when heartbeats resume, and must never
         // fence/kill it; the ring still completes exactly.
         let plan = FaultPlan::new(9)
             .stall_pe(1, 0, 600)
-            .online_recovery(1)
             .phi_thresholds(2.0, 1e12);
         let (total, rep) = faulty_ring(plan);
         assert_eq!(total, 41, "every hop still delivered exactly once");
-        assert!(rep.crashed.is_none());
         assert!(rep.dead_pes.is_empty(), "a stall is not a death");
         let f = rep.faults.unwrap();
         assert!(f.stalled_steps >= 600);

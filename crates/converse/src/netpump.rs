@@ -114,7 +114,6 @@ pub(crate) struct NetPump {
     /// Local PEs' inject channels, indexed by `global_pe - base`.
     pub txs: Vec<Sender<Packet>>,
     pub stats: Option<Arc<FaultStats>>,
-    pub online: bool,
     pub num_pes: usize,
 }
 
@@ -143,8 +142,8 @@ impl NetPump {
         self.world.pes_per_proc()
     }
 
-    /// Bitmask of this process's global PE ids (online mode caps the
-    /// machine at 64 PEs, so the mask math is exact).
+    /// Bitmask of this process's global PE ids (plans scripting PE faults
+    /// cap the machine at 64 PEs, so the mask math is exact).
     fn local_mask(&self) -> u64 {
         (((1u128 << self.local()) - 1) << self.base()) as u64
     }
@@ -230,7 +229,7 @@ impl NetPump {
             return;
         }
         if let Some(m) = decode_morgue(f.body.as_slice(), self.num_pes) {
-            self.hub.record_crash_online(pe, m);
+            self.hub.record_death(pe, m);
         }
     }
 
@@ -324,28 +323,10 @@ impl NetPump {
                     _ => self.inject(f),
                 }
             }
-            if self.hub.done_flag() {
-                // A local abort (legacy crash path) without a DONE: say
-                // goodbye so the leader's finish wait does not time out.
-                self.world.send(
-                    0,
-                    &Frame::control(
-                        ctrl::GOODBYE,
-                        me as u32,
-                        me as u64,
-                        0,
-                        0,
-                        flows_core::Payload::empty(),
-                    ),
-                );
+            let (dead, _, _, _) = self.hub.masks();
+            if dead != 0 && dead & self.local_mask() == self.local_mask() {
+                self.announce_proc_death();
                 return;
-            }
-            if self.online {
-                let (dead, _, _, _) = self.hub.masks();
-                if dead & self.local_mask() == self.local_mask() {
-                    self.announce_proc_death();
-                    return;
-                }
             }
             let row = self.own_row();
             let state = (row.sent, row.recv, row.written_off, row.idle, row.unresolved);
@@ -398,12 +379,6 @@ impl NetPump {
                     },
                     _ => self.inject(f),
                 }
-            }
-            if self.hub.done_flag() {
-                // Declared below on a previous iteration — unreachable —
-                // or a legacy crash abort: finish either way.
-                self.finish(&rows, self.hub.sent.load(Ordering::SeqCst));
-                return;
             }
             rows[0] = self.own_row();
             let masks = self.hub.masks();

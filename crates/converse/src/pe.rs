@@ -25,7 +25,7 @@ pub(crate) type DeathUpcall = Arc<dyn Fn(&Pe, usize) + Send + Sync>;
 /// silence, phi 8 ≈ 18.4 — far beyond any plausible loss burst.
 const PHI_SCALE: f64 = std::f64::consts::LOG10_E;
 
-/// Per-peer failure-detector state (online mode only).
+/// Per-peer failure-detector state (plans scripting PE faults only).
 #[derive(Debug, Clone, Copy)]
 struct PeerHealth {
     /// Local virtual time of the last heartbeat from this peer (0 = the
@@ -120,8 +120,8 @@ pub struct Pe {
     /// which keeps nested machines from cross-recording).
     prev_ring: Cell<*const TraceRing>,
     exts: RefCell<HashMap<TypeId, Box<dyn Any>>>,
-    /// Phi-accrual detector state per peer (empty unless the plan enables
-    /// online recovery).
+    /// Phi-accrual detector state per peer (empty unless the plan scripts
+    /// a crash or a stall).
     det: RefCell<Vec<PeerHealth>>,
     /// Virtual time of the last detector evaluation (0 = never). A large
     /// gap means the *observer* went silent, not its peers.
@@ -168,9 +168,9 @@ impl Pe {
         ring: Option<Arc<TraceRing>>,
         death_upcall: Option<DeathUpcall>,
     ) -> Pe {
-        let online = fault.as_ref().is_some_and(|c| c.plan.online);
+        let armed = fault.as_ref().is_some_and(|c| c.plan.arms_detector());
         let hb_period = fault.as_ref().map_or(0, |c| c.plan.heartbeat_ns);
-        let det = if online {
+        let det = if armed {
             vec![
                 PeerHealth {
                     last_vt: 0,
@@ -225,13 +225,8 @@ impl Pe {
         }
     }
 
-    /// Is this machine running the online-recovery protocol?
-    fn online(&self) -> bool {
-        self.fault.as_ref().is_some_and(|c| c.plan.online)
-    }
-
-    /// The attached fault plan, if any (layers above read the online
-    /// flag, replication degree and heartbeat period from here).
+    /// The attached fault plan, if any (layers above read the
+    /// replication degree and heartbeat period from here).
     pub fn fault_plan(&self) -> Option<&crate::fault::FaultPlan> {
         self.fault.as_ref().map(|c| &*c.plan)
     }
@@ -649,7 +644,7 @@ impl Pe {
         }
         // Heartbeats and the phi-accrual failure detector ride the fault
         // clock; none of it counts as progress.
-        if ctx.plan.online && !self.crashed.get() {
+        if ctx.plan.arms_detector() && !self.crashed.get() {
             self.heartbeat_maintain(ctx);
             self.detector_maintain(ctx);
             self.upcall_maintain(ctx);
@@ -693,7 +688,7 @@ impl Pe {
     /// a healthy idle machine must not keep its own clocks (and wires)
     /// alive trading heartbeats, or it would never quiesce.
     fn hb_clock_armed(&self) -> bool {
-        if !self.online() || self.crashed.get() {
+        if self.det.borrow().is_empty() || self.crashed.get() {
             return false;
         }
         self.hub.unresolved() || self.det.borrow().iter().any(|p| p.suspected)
@@ -738,15 +733,16 @@ impl Pe {
     }
 
     /// Record a heartbeat arrival from `src`: update the inter-arrival
-    /// EWMA and withdraw any active suspicion. In threaded machines the
-    /// sender's clock also drags ours forward (Lamport-style): every PE
-    /// idle-jumps its clock independently, and without the sync a fast
-    /// observer would read its own clock advance as the peer's silence.
+    /// EWMA and withdraw any active suspicion. The sender's clock also
+    /// drags ours forward (Lamport-style): every PE advances its clock
+    /// independently (idle jumps, modeled charges), and without the sync a
+    /// fast observer would read its own clock advance as the silence of a
+    /// peer whose clock stood still — an idle PE under modeled time, say.
     fn note_heartbeat(&self, src: usize, sender_vt: u64) {
         if self.det.borrow().is_empty() || self.crashed.get() {
             return;
         }
-        if self.threaded.get() && sender_vt > self.vtime.get() {
+        if sender_vt > self.vtime.get() {
             self.vtime.set(sender_vt);
         }
         let now = self.vtime.get().max(1);
@@ -873,6 +869,18 @@ impl Pe {
     /// pump). Also settles traffic between the newly dead and any earlier
     /// casualties, which no survivor's own links account for.
     fn upcall_maintain(&self, ctx: &FaultCtx) {
+        if self.death_upcall.is_none() {
+            // No layer above heals: every survivor writes each confirmed
+            // death off on its own and stops suspecting the corpse, so the
+            // heartbeat clock disarms and the machine quiesces without it.
+            let unreaped = self.hub.confirmed_mask() & !self.reaped.get();
+            for p in 0..self.num_pes {
+                if unreaped & (1 << p) != 0 && self.hub.morgue_ready(p) {
+                    self.reap_dead(p);
+                    self.det.borrow_mut()[p].suspected = false;
+                }
+            }
+        }
         let mut pending = self.upcall_pending.get();
         if pending == 0 {
             return;
@@ -889,9 +897,12 @@ impl Pe {
                     FaultStats::bump_by(&ctx.stats.written_off, lost);
                 }
             }
-            if let Some(cb) = &self.death_upcall {
-                let cb = cb.clone();
-                cb(self, p);
+            match &self.death_upcall {
+                Some(cb) => {
+                    let cb = cb.clone();
+                    cb(self, p);
+                }
+                None => self.hub.resolve(p),
             }
         }
     }
@@ -953,22 +964,14 @@ impl Pe {
         self.hub.resolve(dead);
     }
 
-    /// Check scripted PE faults. Returns `true` if the PE must skip this
-    /// pump iteration (crashed or stalled).
-    /// Fail-stop this PE. Under the legacy (offline) fault model this
-    /// simply records the crash so the driver can abort and restart the
-    /// world. Under online recovery the PE additionally publishes a
-    /// *morgue record* — per-peer cumulative-receive and last-assigned
-    /// sequence counters — from which every survivor computes, exactly,
-    /// how many logical messages died with it; those are written off so
-    /// quiescence can be re-established without the dead PE's counters.
+    /// Fail-stop this PE: publish a *morgue record* — per-peer
+    /// cumulative-receive and last-assigned sequence counters — from which
+    /// every survivor computes, exactly, how many logical messages died
+    /// with it; those are written off so quiescence can be re-established
+    /// without the dead PE's counters.
     fn die(&self, ctx: &FaultCtx) {
         self.crashed.set(true);
         emit(EventKind::FaultCrash, self.id as u64, 0, 0);
-        if !ctx.plan.online {
-            self.hub.record_crash(self.id);
-            return;
-        }
         // Self-sends queued locally die with us: counted as sent, never
         // received.
         let lost_local = self.local_q.borrow().len() as u64;
@@ -994,9 +997,11 @@ impl Pe {
             vt: self.vtime.get(),
             info: reclaimed,
         });
-        self.hub.record_crash_online(self.id, morgue);
+        self.hub.record_death(self.id, morgue);
     }
 
+    /// Check scripted PE faults. Returns `true` if the PE must skip this
+    /// pump iteration (crashed or stalled).
     fn fault_gate(&self) -> bool {
         let ctx = match &self.fault {
             Some(c) => c,
@@ -1005,7 +1010,7 @@ impl Pe {
         if self.crashed.get() {
             return true;
         }
-        if ctx.plan.online && self.hub.is_fenced(self.id) {
+        if self.hub.is_fenced(self.id) {
             // STONITH: the recovery leader confirmed us dead (e.g. a stall
             // that outlived the confirm threshold). Convert to a real
             // crash so the failure model stays fail-stop — we must not
@@ -1133,7 +1138,7 @@ impl Pe {
 
     /// Is there any local work (messages, runnable threads, unfinished
     /// link-layer recovery, or an in-progress stall)? A crashed PE has no
-    /// work — the machine driver aborts instead of waiting on it.
+    /// work — the survivors write its traffic off instead of waiting on it.
     pub fn has_work(&self) -> bool {
         if self.crashed.get() {
             return false;

@@ -103,6 +103,16 @@ impl ZoneGrid {
         delta
     }
 
+    /// Every cell, halo included: the zone's whole state.
+    pub fn cells(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Mutable view of [`ZoneGrid::cells`].
+    pub fn cells_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Sum of interior values (checksum component).
     pub fn interior_sum(&self) -> f64 {
         let mut s = 0.0;

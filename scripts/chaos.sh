@@ -1,7 +1,7 @@
 #!/bin/bash
 # Chaos soak gate: runs the online-recovery soak (ft_online) across a
 # dozen seeded crash/stall/loss schedules and asserts every one heals in
-# place — zero restarts, no stranded threads, only scripted victims (or
+# place — no stranded threads, only scripted victims (or
 # fenced stallers) dead, and per-rank checksums bit-identical to the
 # fault-free run. The harness itself exits non-zero on any violation;
 # this wrapper re-checks the verdict column and the seed count so a
